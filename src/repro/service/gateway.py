@@ -17,7 +17,12 @@ event loop:
   an explicit status, never silently dropped), per-window batching
   (queued misses coalesce by cache bucket and at most
   ``batch_capacity`` basestation queries go out per batch), and the
-  latency/staleness/shed accounting exported as service metrics.
+  latency/staleness/shed accounting exported as service metrics. The
+  latency and staleness telemetry is held as exact value → count
+  tallies (:class:`SampleTally`), never as per-request lists: its size
+  follows how often the simulated clock advances, not the request
+  count, so a resident server's scorecard costs the same to build on
+  every request.
 * :class:`QueryGateway` — the asyncio front: one ``TenantService`` per
   tenant, a worker task per tenant draining its queue, and a JSON-lines
   TCP protocol (:func:`serve_gateway`) for external clients.
@@ -55,13 +60,65 @@ from repro.service.api import (
 )
 
 
+def nearest_rank(q: float, n: int) -> int:
+    """The 1-based nearest rank of quantile ``q`` among ``n`` samples —
+    the one rank rule :func:`percentile` and :class:`SampleTally` share."""
+    return max(1, math.ceil(q * n))
+
+
 def percentile(values: List[float], q: float) -> float:
     """Nearest-rank percentile (deterministic, no interpolation)."""
     if not values:
         return 0.0
-    ordered = sorted(values)
-    rank = max(1, math.ceil(q * len(ordered)))
-    return ordered[rank - 1]
+    return sorted(values)[nearest_rank(q, len(values)) - 1]
+
+
+class SampleTally:
+    """An exact multiset of float samples: value -> count, plus the
+    sample count and a running sum.
+
+    Serving samples are simulated-clock quantities, so they repeat: every
+    cache hit answered at one clock reading has the same latency and the
+    same staleness. The tally therefore grows with the number of distinct
+    values — with how often the simulated clock advances — not with the
+    number of requests, and it is exact: :meth:`percentile` walks the
+    sorted distinct values by cumulative count with the same nearest-rank
+    rule as :func:`percentile`, and :meth:`mean` divides a sum accumulated
+    in arrival order, so both equal the list-based figures bit for bit
+    (``sum(list) / len(list)`` on Python < 3.12, whose float ``sum`` adds
+    left to right).
+    """
+
+    __slots__ = ("_counts", "count", "total")
+
+    def __init__(self) -> None:
+        self._counts: Dict[float, int] = {}
+        self.count = 0
+        self.total = 0.0
+
+    @property
+    def distinct(self) -> int:
+        """Number of distinct values held (the tally's size)."""
+        return len(self._counts)
+
+    def add(self, value: float) -> None:
+        self._counts[value] = self._counts.get(value, 0) + 1
+        self.count += 1
+        self.total += value
+
+    def mean(self) -> float:
+        return self.total / self.count if self.count else 0.0
+
+    def percentile(self, q: float) -> float:
+        if not self.count:
+            return 0.0
+        rank = nearest_rank(q, self.count)
+        seen = 0
+        for value in sorted(self._counts):
+            seen += self._counts[value]
+            if seen >= rank:
+                return value
+        raise AssertionError("rank beyond the sample count")
 
 
 @dataclass
@@ -233,8 +290,8 @@ class TenantService:
         self.queries_issued = 0
         self.coalesced = 0
         self.batches = 0
-        self.latencies: List[float] = []
-        self.staleness: List[float] = []
+        self.latencies = SampleTally()
+        self.staleness = SampleTally()
         self.epochs_seen: Set[int] = set()
 
     @property
@@ -349,8 +406,8 @@ class TenantService:
         self.served += 1
         if cache_hit:
             self.cache_hits += 1
-        self.latencies.append(ticket.latency_s)
-        self.staleness.append(ticket.staleness_s)
+        self.latencies.add(ticket.latency_s)
+        self.staleness.add(ticket.staleness_s)
         self.epochs_seen.add(entry.epoch)
 
     # ------------------------------------------------------------------
@@ -371,16 +428,12 @@ class TenantService:
             "coalesced": float(self.coalesced),
             "batches": float(self.batches),
             "backlog": float(len(self._queue)),
-            "latency_mean_s": (
-                sum(self.latencies) / len(self.latencies) if self.latencies else 0.0
-            ),
-            "latency_p50_s": percentile(self.latencies, 0.50),
-            "latency_p95_s": percentile(self.latencies, 0.95),
-            "latency_p99_s": percentile(self.latencies, 0.99),
-            "staleness_mean_s": (
-                sum(self.staleness) / len(self.staleness) if self.staleness else 0.0
-            ),
-            "staleness_p95_s": percentile(self.staleness, 0.95),
+            "latency_mean_s": self.latencies.mean(),
+            "latency_p50_s": self.latencies.percentile(0.50),
+            "latency_p95_s": self.latencies.percentile(0.95),
+            "latency_p99_s": self.latencies.percentile(0.99),
+            "staleness_mean_s": self.staleness.mean(),
+            "staleness_p95_s": self.staleness.percentile(0.95),
             "epochs_seen": float(len(self.epochs_seen)),
         }
 

@@ -20,7 +20,13 @@ flight per shard, over one :func:`multiprocessing.Pipe`): the parent
 pump task batches concurrently arriving requests per shard, ships one
 ``batch`` command, and awaits the answers — so worker replies can never
 interleave and the pipe needs no framing of its own. Shards are
-independent; concurrency comes from running one pump per shard.
+independent; concurrency comes from running one pump per shard. Replies
+are read on the event loop itself (the pipe's fd is watched with
+``loop.add_reader``), so a served request costs no executor-thread hop.
+Every reply carries the shard scorecard, folded from per-tenant
+snapshots whose telemetry is exact value → count tallies (see
+:class:`~repro.service.gateway.SampleTally`): refreshing it costs the
+same on the millionth request as on the first.
 
 Workers announce ``ready`` after their deployments finish boot +
 stabilization; :attr:`ShardedGateway.ready` gates the server's HELLO
@@ -208,7 +214,8 @@ def _shard_worker_main(
       ``error`` (payload = (code, message));
       ``("stats",)`` → ``("stats", {tenant: scorecard}, shard_stats)``;
       ``("adopt", [(tenant, spec_dict), ...])`` → boot the re-placed
-      tenants and reply ``("adopted", [tenant, ...], shard_stats)``
+      tenants and reply
+      ``("adopted", [tenant, ...], {tenant: scorecard}, shard_stats)``
       (``("adopt_error", message)`` on a boot failure — the worker
       survives, only the adoption fails);
       ``("close",)`` → worker exits.
@@ -237,11 +244,13 @@ def _shard_worker_main(
 
     conn.send(("ready", shard, sorted(services), os.getpid()))
 
-    def snapshots() -> Dict[str, Dict[str, float]]:
-        return {name: svc.snapshot() for name, svc in services.items()}
-
-    def shard_stats() -> Dict[str, float]:
-        return aggregate_shard_stats(snapshots(), worker_pid=os.getpid())
+    def scorecards() -> Tuple[Dict[str, Dict[str, float]], Dict[str, float]]:
+        """Every tenant's scorecard, and the shard scorecard folded from
+        those same snapshots (each tenant is snapshotted once)."""
+        tenant_stats = {name: svc.snapshot() for name, svc in services.items()}
+        return tenant_stats, aggregate_shard_stats(
+            tenant_stats, worker_pid=os.getpid()
+        )
 
     try:
         while True:
@@ -251,7 +260,7 @@ def _shard_worker_main(
                 conn.send(("closed", shard))
                 return
             if op == "stats":
-                conn.send(("stats", snapshots(), shard_stats()))
+                conn.send(("stats", *scorecards()))
                 continue
             if op == "adopt":
                 try:
@@ -262,7 +271,7 @@ def _shard_worker_main(
                     )
                     continue
                 services.update(adopted)
-                conn.send(("adopted", sorted(adopted), shard_stats()))
+                conn.send(("adopted", sorted(adopted), *scorecards()))
                 continue
             if op != "batch":
                 conn.send(("fatal", f"unknown shard command {op!r}"))
@@ -296,7 +305,7 @@ def _shard_worker_main(
                 else:
                     answer = QueryAnswer.from_ticket(outcome, shard=shard)
                     answers.append((req_id, answer.status, answer.to_wire()))
-            conn.send(("answers", answers, shard_stats()))
+            conn.send(("answers", answers, scorecards()[1]))
     except (EOFError, KeyboardInterrupt):
         return
     except BaseException as exc:  # noqa: BLE001 — reported to the parent
@@ -311,6 +320,12 @@ def _shard_worker_main(
 # ----------------------------------------------------------------------
 # Parent-side gateway
 # ----------------------------------------------------------------------
+def _wake(future: "asyncio.Future") -> None:
+    """``add_reader`` callback: the watched pipe turned readable."""
+    if not future.done():
+        future.set_result(None)
+
+
 class _Shard:
     """Parent-side handle of one worker: process, pipe, request queue,
     and the supervision bookkeeping (state, restart counters)."""
@@ -463,9 +478,26 @@ class ShardedGateway:
             raise ServiceUnavailableError(self._boot_error)
 
     async def _recv(self, shard: _Shard):
-        return await asyncio.get_running_loop().run_in_executor(
-            None, shard.conn.recv
-        )
+        """Read one worker reply on the event loop, without a thread hop.
+
+        A reply already waiting is read at once; otherwise the pipe's fd
+        is watched with ``add_reader`` until it turns readable. The
+        reader is always removed again, cancellation included, so the
+        next read on this shard starts clean. Worker death reads as EOF:
+        ``recv`` raises ``EOFError`` (``OSError`` once the pipe is
+        retired), which the pump turns into a ``died`` outcome.
+        """
+        conn = shard.conn
+        if not conn.poll():
+            loop = asyncio.get_running_loop()
+            readable = loop.create_future()
+            fd = conn.fileno()
+            loop.add_reader(fd, _wake, readable)
+            try:
+                await readable
+            finally:
+                loop.remove_reader(fd)
+        return conn.recv()
 
     # -- supervision ---------------------------------------------------
     def _maybe_ready(self) -> None:
@@ -756,7 +788,8 @@ class ShardedGateway:
                                 )
                             )
                         continue
-                    _op, adopted, shard_stats = reply
+                    _op, adopted, tenant_stats, shard_stats = reply
+                    shard.tenant_stats = tenant_stats
                     shard.stats = shard_stats
                     if not future.done():
                         future.set_result(list(adopted))

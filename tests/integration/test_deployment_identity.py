@@ -13,6 +13,8 @@ Also covers the facade's incremental-driving guarantee (many small
 """
 
 import dataclasses
+import hashlib
+import json
 
 from repro.experiments.runner import (
     _collect,
@@ -211,6 +213,23 @@ class TestServiceTrialDeterminism:
         # The serving layer never fabricates readings: the oracle's
         # precision check stays clean under external query traffic.
         assert first.metrics.oracle["precision_violations"] == 0
+
+    def test_e16_scorecards_are_pinned(self):
+        """The ``service`` and ``service_shards`` scorecards of one E16
+        trial, bit for bit. The digest was recorded when the gateway kept
+        latency and staleness as per-request lists (means from a
+        left-to-right float ``sum``); the exact tallies must reproduce it
+        on every Python version, including those whose ``sum`` is
+        compensated."""
+        metrics = run_experiment(e16_smoke_spec(seed=1, qps=1.5)).metrics
+        body = json.dumps(
+            {"service": metrics.service, "service_shards": metrics.service_shards},
+            sort_keys=True,
+        )
+        assert metrics.service["requests_served"] == 455.0
+        assert hashlib.sha256(body.encode()).hexdigest() == (
+            "9d746534056ca1f692c66761b3af3ef47ce024284e9f57d33483d1163dadd9fe"
+        )
 
     def test_offered_load_does_not_touch_simulation_rng(self):
         # Arrival traces come from a dedicated RNG stream; two loads give

@@ -27,6 +27,8 @@ determinism test boots real :class:`ShardedGateway` worker processes.
 """
 
 import asyncio
+import os
+import signal
 
 import pytest
 
@@ -37,6 +39,7 @@ from repro.service.api import (
     MalformedRequestError,
     ProtocolVersionError,
     ServiceUnavailableError,
+    ShardRestartingError,
     ShedError,
 )
 from repro.service.client import AsyncScoopClient
@@ -363,6 +366,49 @@ class TestShardSupervision:
 
         asyncio.run(program())
 
+    def test_kill_with_batch_on_the_pipe_fails_retryable(self):
+        """SIGKILL a worker while the pump awaits its batch reply: the
+        request fails with the retryable ``retry`` code (no client retry
+        in between), and the respawned shard serves again."""
+
+        async def program():
+            gateway = ShardedGateway(
+                tiny_spec(),
+                tenants=1,
+                workers=1,
+                backoff=BackoffPolicy(base_s=0.05, cap_s=0.2, budget=3),
+            )
+            await gateway.start()
+            try:
+                await gateway.wait_ready(timeout=60.0)
+                shard = gateway._shards["shard0"]
+                # A stopped worker cannot answer: the batch stays on the
+                # pipe until the kill, whatever the scheduling.
+                os.kill(shard.process.pid, signal.SIGSTOP)
+                pending = asyncio.create_task(
+                    gateway.answer(_request(gateway, "tenant0", seq=7))
+                )
+                await poll_until(lambda: shard.inflight, interval=0.01)
+                await asyncio.sleep(0.05)
+                assert not pending.done()
+                assert gateway.chaos_kill_worker("shard0") == "shard0"
+                with pytest.raises(ShardRestartingError) as info:
+                    await asyncio.wait_for(pending, 30.0)
+                assert info.value.code == "retry"
+                assert info.value.seq == 7
+                await poll_until(
+                    lambda: gateway.shard_states()["shard0"] == "ready"
+                )
+                answer = await gateway.answer(
+                    _request(gateway, "tenant0", seq=8)
+                )
+                assert answer.ok and answer.seq == 8
+            finally:
+                await gateway.close()
+                assert_no_zombies(gateway)
+
+        asyncio.run(program())
+
     def test_kill_during_stats_probe_does_not_raise(self):
         """A stats probe racing a worker death falls back to the cached
         scorecard (with supervision counters) instead of raising."""
@@ -422,6 +468,10 @@ class TestShardSupervision:
                     lambda: gateway.shard_states()["shard0"] == "replaced"
                 )
                 assert gateway.shard_of("tenant0") == "shard1"
+                # The adoption reply refreshed the adopter's live
+                # telemetry: it already lists the adopted tenant.
+                live = gateway.metrics_snapshots()["shard1"]["tenants"]
+                assert set(live) == {"tenant0", "tenant1"}
                 after = await gateway.answer(
                     _request(gateway, "tenant0", seq=2)
                 )

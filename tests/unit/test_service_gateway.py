@@ -6,11 +6,13 @@ concurrent-client determinism) is pinned without running a simulation.
 
 import asyncio
 import json
+import random
 
 from repro.core.config import ScoopConfig, ValueDomain
 from repro.service.gateway import (
     AnswerCache,
     QueryGateway,
+    SampleTally,
     ServiceLimits,
     TenantService,
     percentile,
@@ -58,6 +60,60 @@ class TestPercentile:
         assert percentile(values, 0.99) == 99.0
         assert percentile([], 0.5) == 0.0
         assert percentile([3.0], 0.99) == 3.0
+
+
+class TestSampleTally:
+    def test_empty_tally_reads_zero(self):
+        tally = SampleTally()
+        assert tally.count == 0 and tally.distinct == 0
+        assert tally.mean() == 0.0
+        assert tally.percentile(0.99) == 0.0
+
+
+def list_scorecard(service: TenantService, latencies, staleness):
+    """The scorecard as it was computed from per-request sample lists —
+    the oracle the exact tallies must reproduce."""
+    snap = service.snapshot()
+    snap.update(
+        latency_mean_s=sum(latencies) / len(latencies) if latencies else 0.0,
+        latency_p50_s=percentile(latencies, 0.50),
+        latency_p95_s=percentile(latencies, 0.95),
+        latency_p99_s=percentile(latencies, 0.99),
+        staleness_mean_s=sum(staleness) / len(staleness) if staleness else 0.0,
+        staleness_p95_s=percentile(staleness, 0.95),
+    )
+    return snap
+
+
+class TestTelemetryIsBounded:
+    def test_cache_hits_do_not_grow_the_telemetry(self):
+        """20k cache hits over 6 hot ranges: the tallies hold one entry
+        per distinct simulated latency/staleness (misses advanced the
+        clock 6 times), and the scorecard equals the list-based one."""
+        service = make_service()
+        hot = [(lo, lo + 3) for lo in range(0, 90, 15)]
+        latencies, staleness = [], []
+
+        def serve(lo, hi):
+            ticket = service.submit(attr=0, lo=lo, hi=hi)
+            while service.backlog:
+                service.process_batch()
+            assert ticket.status == "ok"
+            latencies.append(ticket.latency_s)
+            staleness.append(ticket.staleness_s)
+            return ticket
+
+        for lo, hi in hot:
+            assert not serve(lo, hi).cache_hit
+        rng = random.Random(7)
+        for _ in range(20_000):
+            assert serve(*hot[rng.randrange(len(hot))]).cache_hit
+        assert service.served == len(latencies) == 20_006
+        # hits: latency 0; misses: one reply window
+        assert service.latencies.distinct == 2
+        # one staleness per hot bucket (each cached at its own clock tick)
+        assert service.staleness.distinct == len(hot)
+        assert service.snapshot() == list_scorecard(service, latencies, staleness)
 
 
 class TestAnswerCache:

@@ -10,6 +10,7 @@ real-process matrix (actual SIGKILLs over real sockets) lives in
 """
 
 import asyncio
+import multiprocessing
 
 import pytest
 
@@ -288,6 +289,82 @@ class TestQueueDraining:
             # Each future gets its OWN exception instance: seq stamping
             # in answer() mutates it, so sharing would cross-talk.
             assert futures[0].exception() is not futures[1].exception()
+
+        asyncio.run(program())
+
+
+@pytest.fixture
+def piped_shard():
+    """A shard handle over a real pipe whose far (worker) end the test
+    holds; both ends are closed afterwards."""
+    parent, child = multiprocessing.Pipe()
+    shard = _Shard("shard0", ["tenant0"])
+    shard.conn = parent
+    try:
+        yield shard, child
+    finally:
+        child.close()
+        parent.close()
+
+
+class TestPipeReads:
+    """``_recv`` reads worker replies on the event loop: these drive it
+    over a real pipe with no worker process behind it."""
+
+    def test_waits_for_a_reply_then_reads_it(self, piped_shard):
+        shard, child = piped_shard
+
+        async def program():
+            gateway = _bare_gateway()
+            pending = asyncio.create_task(gateway._recv(shard))
+            await asyncio.sleep(0.01)
+            assert not pending.done()
+            child.send(("answers", [], {}))
+            assert await asyncio.wait_for(pending, 5.0) == ("answers", [], {})
+            # A reply already waiting is read without watching the fd.
+            child.send(("stats", {}, {}))
+            assert await gateway._recv(shard) == ("stats", {}, {})
+
+        asyncio.run(program())
+
+    def test_cancelled_read_leaves_no_reader_behind(self, piped_shard):
+        shard, child = piped_shard
+
+        async def program():
+            gateway = _bare_gateway()
+            loop = asyncio.get_running_loop()
+            pending = asyncio.create_task(gateway._recv(shard))
+            await asyncio.sleep(0.01)
+            pending.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await pending
+            # remove_reader reports whether a reader was still registered.
+            assert not loop.remove_reader(shard.conn.fileno())
+            # The next read on the same shard gets the next reply (a read
+            # left blocked elsewhere would steal it).
+            child.send("next")
+            try:
+                next_read = gateway._recv(shard)
+                assert await asyncio.wait_for(next_read, 5.0) == "next"
+            finally:
+                # Unblocks a read left behind, so a failure cannot hang.
+                child.close()
+
+        asyncio.run(program())
+
+    def test_worker_death_reads_as_eof(self, piped_shard):
+        shard, child = piped_shard
+
+        async def program():
+            gateway = _bare_gateway()
+            pending = asyncio.create_task(gateway._recv(shard))
+            await asyncio.sleep(0.01)
+            child.close()  # what the kernel does when a worker dies
+            with pytest.raises(EOFError):
+                await asyncio.wait_for(pending, 5.0)
+            shard.conn.close()  # the supervisor retires the pipe
+            with pytest.raises(OSError):
+                await gateway._recv(shard)
 
         asyncio.run(program())
 
