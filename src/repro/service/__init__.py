@@ -3,15 +3,13 @@
 :class:`~repro.service.deployment.Deployment` is the canonical way to
 wire and run a Scoop network — the batch runner
 (:func:`repro.experiments.runner.run_experiment`) is a thin driver over
-it. On top of it sit two serving modes behind one duck-type contract:
+it. Serving places tenants, one resident deployment each, across a pool
+of worker processes (:class:`~repro.service.shard.ShardedGateway`); each
+worker answers through the synchronous serving core of
+:mod:`repro.service.gateway`, the same core the E16 batch trials drive
+in-process (:func:`~repro.service.loadtest.drive_load`).
 
-* in-process — :class:`~repro.service.gateway.QueryGateway`, one
-  resident deployment per tenant in this interpreter (bit-identical to
-  the batch path; what the oracle and cache-replay gates pin);
-* sharded — :class:`~repro.service.shard.ShardedGateway`, tenants placed
-  across a pool of worker processes.
-
-Either gateway is served over TCP by
+The gateway is served over TCP by
 :class:`~repro.service.server.ScoopServer` speaking the framed protocol
 of :mod:`repro.service.protocol`, and the supported client entry points
 are :class:`~repro.service.client.ScoopClient` /
@@ -37,7 +35,7 @@ from repro.service.api import (
 )
 from repro.service.client import AsyncScoopClient, ScoopClient
 from repro.service.deployment import Deployment
-from repro.service.gateway import QueryGateway, ServiceLimits, serve_gateway
+from repro.service.gateway import ServiceLimits
 from repro.service.loadtest import (
     answers_digest,
     build_arrivals,
@@ -61,7 +59,6 @@ __all__ = [
     "ProtocolError",
     "ProtocolVersionError",
     "QueryAnswer",
-    "QueryGateway",
     "QueryRequest",
     "ScoopClient",
     "ScoopServer",
@@ -79,5 +76,4 @@ __all__ = [
     "drive_load",
     "drive_socket_load",
     "serve_framed",
-    "serve_gateway",
 ]

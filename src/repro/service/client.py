@@ -1,8 +1,8 @@
 """The supported client entry points: ``ScoopClient`` / ``AsyncScoopClient``.
 
 These two classes are the *only* supported ways to talk to a Scoop
-query server — everything else (raw sockets, the deprecated JSON-lines
-dicts) is service-internal. Both speak the framed protocol of
+query server — everything else (raw sockets, gateway dicts) is
+service-internal. Both speak the framed protocol of
 :mod:`repro.service.protocol` and surface failures as the typed
 exceptions of :mod:`repro.service.api`:
 

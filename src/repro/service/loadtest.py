@@ -204,8 +204,9 @@ def build_client_program(
 
 def answers_digest(answers: Dict[str, List[Dict[str, object]]]) -> str:
     """Canonical digest of a per-tenant answer transcript — what the
-    worker-count identity gates compare. The JSON-lines dict form is
-    used deliberately: it excludes the ``shard`` field, which is the one
+    worker-count identity gates compare. The transcript body
+    (:meth:`~repro.service.api.QueryAnswer.to_jsonl_dict`) is used
+    deliberately: it excludes the ``shard`` field, which is the one
     legitimately placement-dependent part of an answer."""
     canonical = json.dumps(
         {t: answers[t] for t in sorted(answers)},

@@ -1,8 +1,8 @@
 """Length-prefixed binary framing for the query service.
 
-The JSON-lines transport of PR 7 had no version field, no backpressure,
-and no way to interleave server-push telemetry with responses. This
-module defines the framed replacement both ends speak
+The JSON-lines transport this framing replaced had no version field, no
+backpressure, and no way to interleave server-push telemetry with
+responses. This module defines the one wire protocol both ends speak
 (:class:`~repro.service.client.ScoopClient` ↔
 :class:`~repro.service.server.ScoopServer`):
 

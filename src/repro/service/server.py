@@ -1,9 +1,10 @@
 """The framed TCP server: credit backpressure, readiness, metrics push.
 
-:class:`ScoopServer` exposes any gateway speaking the duck-type contract
-(:class:`~repro.service.gateway.QueryGateway` in-process,
-:class:`~repro.service.shard.ShardedGateway` multi-process) over the
-length-prefixed protocol of :mod:`repro.service.protocol`.
+:class:`ScoopServer` exposes a :class:`~repro.service.shard.ShardedGateway`
+over the length-prefixed protocol of :mod:`repro.service.protocol`. It
+reads only the gateway's serving surface — ``tenants`` / ``workers``,
+the ``ready`` event, ``answer``, ``service_stats`` and
+``metrics_snapshots`` — so it holds no shard or process state itself.
 
 Per-connection lifecycle:
 

@@ -360,10 +360,8 @@ class ShardedGateway:
     """Tenants sharded across supervised worker processes, one asyncio
     front.
 
-    The duck-type contract shared with the in-process
-    :class:`~repro.service.gateway.QueryGateway` (what
-    :class:`~repro.service.server.ScoopServer` serves):
-    ``tenants`` / ``workers``, ``ready`` (asyncio event),
+    The serving surface :class:`~repro.service.server.ScoopServer`
+    reads: ``tenants`` / ``workers``, ``ready`` (asyncio event),
     ``await answer(request) -> QueryAnswer`` (raising
     :class:`~repro.service.api.ServiceFault` subclasses),
     ``await service_stats() -> ServiceStats``, ``metrics_snapshots()``,

@@ -31,8 +31,8 @@ The reception fan-out is the single hottest loop in a trial, so the radio
 precomputes, once per topology at construction:
 
 * ``_audible_ids[src]`` — the audible receivers of ``src``, ascending;
-* ``_loss_rows[src]`` — the aligned per-link loss probabilities (a numpy
-  array on the vectorized path, a plain list on the scalar path);
+* ``_loss_rows[src]`` — the aligned per-link loss probabilities, as a
+  numpy array;
 * ``_audible_bool`` — the full n×n audibility matrix for O(1) carrier-sense
   and collision checks.
 
@@ -41,20 +41,21 @@ dedicated :class:`~repro.sim.rngstream.BatchedUniformStream` seeded from
 the trial seed, not from ``sim.rng``. Loss draws obey a fixed discipline:
 **every transmission consumes exactly ``len(_audible_ids[src])`` uniforms,
 in ascending receiver id order, regardless of collision or failure
-outcomes**. Both the vectorized path (one ``take(k)`` block compare) and
-the scalar path (``k`` successive ``random()`` calls) therefore consume
-byte-identical draws, which is what the differential determinism tests pin.
+outcomes** — one ``take(k)`` block compared against the loss row. The
+trajectory this produces (frames sent and delivered, collisions and losses
+of the E13-smoke trial) is pinned by an integer-count test.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Protocol, Set
 
+import numpy as np
+
 from repro.sim.kernel import Simulator
 from repro.sim.packets import BROADCAST, Frame, FrameKind
-from repro.sim.rngstream import BatchedUniformStream, numpy_available
+from repro.sim.rngstream import BatchedUniformStream
 from repro.sim.topology import OUT_OF_RANGE, Topology
 
 
@@ -151,7 +152,6 @@ class Radio:
         "topology",
         "config",
         "stats",
-        "path",
         "_stream",
         "_listeners",
         "_live",
@@ -176,19 +176,11 @@ class Radio:
         on_transmit: Optional[Callable[[int, Frame], None]] = None,
         on_delivery: Optional[Callable[[int, int, Frame], None]] = None,
         on_deliveries: Optional[Callable[[int, List[int], Frame, int], None]] = None,
-        path: Optional[str] = None,
     ):
         self.sim = sim
         self.topology = topology
         self.config = config or RadioConfig()
         self.stats = RadioStats()
-        if path is None:
-            path = os.environ.get("REPRO_RADIO_PATH", "vector")
-        if path == "vector" and not numpy_available():
-            path = "scalar"  # numpy is gated, not required
-        if path not in ("vector", "scalar"):
-            raise ValueError(f"unknown radio path {path!r}")
-        self.path = path
         self._stream = BatchedUniformStream(sim.seed)
         self._listeners: Dict[int, RadioListener] = {}
         #: reception fast path: _live[node] is the node's listener when it
@@ -219,17 +211,13 @@ class Radio:
         loss = self.topology.loss
         n = self.topology.n
         self._audible_ids: List[List[int]] = []
-        self._loss_rows: List[object] = []
+        self._loss_rows: List[np.ndarray] = []
         self._audible_bool: List[List[bool]] = []
-        vector = self.path == "vector"
-        if vector:
-            import numpy as np
         for src in range(n):
             row = loss[src]
             ids = [dst for dst in range(n) if row[dst] < OUT_OF_RANGE]
             self._audible_ids.append(ids)
-            aligned = [row[dst] for dst in ids]
-            self._loss_rows.append(np.asarray(aligned) if vector else aligned)
+            self._loss_rows.append(np.asarray([row[dst] for dst in ids]))
             self._audible_bool.append([p < OUT_OF_RANGE for p in row])
 
     # ------------------------------------------------------------------
@@ -383,14 +371,9 @@ class Radio:
         k = len(receivers)
         # Draw-count discipline: exactly k loss uniforms per transmission,
         # ascending receiver order, consumed before any outcome is known —
-        # this keeps the vectorized and scalar paths (and serial vs
-        # parallel campaign runs) on identical RNG trajectories.
-        if self.path == "vector":
-            lost = (self._stream.take(k) < self._loss_rows[src]).tolist()
-        else:
-            stream_random = self._stream.random
-            loss_row = self._loss_rows[src]
-            lost = [stream_random() < loss_row[i] for i in range(k)]
+        # this keeps serial and parallel campaign runs on identical RNG
+        # trajectories.
+        lost = (self._stream.take(k) < self._loss_rows[src]).tolist()
 
         live = self._live
         audible_bool = self._audible_bool

@@ -1,14 +1,13 @@
-"""CI soak gate: a resident tenant's serving telemetry stays bounded.
+"""Soak: a resident tenant's serving telemetry stays bounded.
 
-Replays ``--requests`` hot requests (default 200k) in-process through the
-tenant service of a one-tenant :class:`~repro.service.QueryGateway` on the
-E16 deployment that ``serve query_service`` boots: each request picks one
-of 6 fixed hot ranges in a seeded order, and is served the way a shard
+Replays 200k hot requests through one :class:`TenantService` on the E16
+deployment that ``serve query_service`` boots: each request picks one of
+6 fixed hot ranges in a seeded order, and is served the way a shard
 worker serves it (``submit``, then ``process_batch`` until the backlog
 drains). After warm-up nearly every answer is a cache hit.
 
 Two structural checks, no timing thresholds (the verdict is the same on
-any runner):
+any machine):
 
 * the latency and staleness tallies hold exactly as many distinct
   entries after 100% of the run as after 10% of it — the telemetry
@@ -18,20 +17,18 @@ any runner):
   lists, the representation the tallies replaced (kept here only as
   the oracle, with its own nearest-rank percentile). Its means add the
   samples in arrival order, as Python's float ``sum`` did before 3.12.
-
-Usage: ``PYTHONPATH=src python .github/scripts/assert_service_soak.py
-[--requests N] [--seed S]``.
 """
 
-import argparse
 import math
 import random
-import sys
 from typing import Dict, List, Tuple
 
 from repro.experiments.scenarios import query_service
-from repro.service import QueryGateway
+from repro.service.deployment import Deployment
+from repro.service.gateway import TenantService
 
+REQUESTS = 200_000
+SEED = 1
 HOT_RANGES = 6
 HOT_WIDTH_PCT = 6
 
@@ -58,7 +55,7 @@ def arrival_order_mean(values: List[float]) -> float:
 
 
 def list_scorecard(
-    service, latencies: List[float], staleness: List[float]
+    service: TenantService, latencies: List[float], staleness: List[float]
 ) -> Dict[str, float]:
     snap = service.snapshot()
     snap.update(
@@ -72,26 +69,24 @@ def list_scorecard(
     return snap
 
 
-def distinct(service) -> Tuple[int, int]:
+def distinct(service: TenantService) -> Tuple[int, int]:
     return service.latencies.distinct, service.staleness.distinct
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--requests", type=int, default=200_000)
-    parser.add_argument("--seed", type=int, default=1, help="seeds the request order")
-    args = parser.parse_args()
-
+def test_hot_soak_telemetry_stays_flat_and_exact():
     spec = query_service(seed=1)[0][1][0]
-    service = QueryGateway.from_spec(spec, tenants=1).service("tenant0")
+    dep = Deployment.create(spec)
+    dep.boot()
+    dep.stabilize()
+    service = TenantService("tenant0", dep)
     domain = spec.scoop.domain
     hot = hot_ranges(domain.lo, domain.hi)
-    rng = random.Random(f"service-soak/{args.seed}")
+    rng = random.Random(f"service-soak/{SEED}")
     latencies: List[float] = []
     staleness: List[float] = []
-    tenth = args.requests // 10
+    tenth = REQUESTS // 10
     at_tenth = (0, 0)
-    for i in range(1, args.requests + 1):
+    for i in range(1, REQUESTS + 1):
         lo, hi = hot[rng.randrange(HOT_RANGES)]
         ticket = service.submit(0, lo, hi)
         while service.backlog:
@@ -102,29 +97,5 @@ def main() -> int:
         if i == tenth:
             at_tenth = distinct(service)
 
-    at_end = distinct(service)
-    snapshot = service.snapshot()
-    print(
-        f"{args.requests} requests: {service.cache_hits} cache hits, "
-        f"{service.batches} batches, epochs seen "
-        f"{snapshot['epochs_seen']:.0f}; distinct (latency, staleness) "
-        f"entries {at_tenth} at 10%, {at_end} at 100%"
-    )
-    problems = []
-    if at_end != at_tenth:
-        problems.append(
-            f"telemetry grew after 10% of the run: {at_tenth} -> {at_end}"
-        )
-    oracle = list_scorecard(service, latencies, staleness)
-    if snapshot != oracle:
-        diff = {k: (snapshot[k], oracle[k]) for k in oracle if snapshot[k] != oracle[k]}
-        problems.append(f"scorecard differs from the list oracle: {diff}")
-    for problem in problems:
-        print(f"FAIL: {problem}", file=sys.stderr)
-    if not problems:
-        print("service soak OK")
-    return 1 if problems else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    assert distinct(service) == at_tenth, "telemetry grew after 10% of the run"
+    assert service.snapshot() == list_scorecard(service, latencies, staleness)

@@ -21,9 +21,9 @@ exhausted its tenants are re-placed onto survivors; in every case no
 request hangs (they fail typed and retryable) and no worker process
 outlives its gateway.
 
-The protocol-behavior tests run against the in-process
-:class:`QueryGateway` (same server, same frames, no process spawn); the
-determinism test boots real :class:`ShardedGateway` worker processes.
+Every test boots real :class:`ShardedGateway` worker processes — the
+production serving stack; the protocol-behavior tests use one tenant on
+one worker.
 """
 
 import asyncio
@@ -43,7 +43,6 @@ from repro.service.api import (
     ShedError,
 )
 from repro.service.client import AsyncScoopClient
-from repro.service.gateway import QueryGateway
 from repro.service.loadtest import drive_socket_load
 from repro.service.server import serve_framed
 from repro.service.shard import BackoffPolicy, ShardedGateway
@@ -94,17 +93,20 @@ def tiny_spec(seed: int = 3) -> ExperimentSpec:
     )
 
 
-def in_process_gateway(tenants: int = 1) -> QueryGateway:
-    return QueryGateway.from_spec(tiny_spec(), tenants=tenants, batch_delay=0.0)
+async def one_worker_gateway() -> ShardedGateway:
+    """One tenant on one worker process, booted and ready."""
+    gateway = ShardedGateway(tiny_spec(), tenants=1, workers=1)
+    await gateway.start()
+    await gateway.wait_ready()
+    return gateway
 
 
 class TestFramedServer:
-    """Protocol behavior over a real socket, in-process gateway."""
+    """Protocol behavior over a real socket, one-worker sharded gateway."""
 
     def test_query_stats_ping_round_trip(self):
         async def program():
-            gateway = in_process_gateway()
-            await gateway.start()
+            gateway = await one_worker_gateway()
             server = await serve_framed(gateway)
             try:
                 async with AsyncScoopClient(port=server.port) as client:
@@ -121,6 +123,7 @@ class TestFramedServer:
             finally:
                 await server.close()
                 await gateway.close()
+                assert_no_zombies(gateway)
 
         asyncio.run(program())
 
@@ -130,8 +133,7 @@ class TestFramedServer:
         connection stays usable for control frames."""
 
         async def program():
-            gateway = in_process_gateway()
-            await gateway.start()
+            gateway = await one_worker_gateway()
             server = await serve_framed(gateway, credits=0)
             try:
                 async with AsyncScoopClient(port=server.port) as client:
@@ -144,13 +146,13 @@ class TestFramedServer:
             finally:
                 await server.close()
                 await gateway.close()
+                assert_no_zombies(gateway)
 
         asyncio.run(program())
 
     def test_version_skew_is_typed_and_fatal(self):
         async def program():
-            gateway = in_process_gateway()
-            await gateway.start()
+            gateway = await one_worker_gateway()
             server = await serve_framed(gateway)
             try:
                 client = AsyncScoopClient(
@@ -162,13 +164,13 @@ class TestFramedServer:
             finally:
                 await server.close()
                 await gateway.close()
+                assert_no_zombies(gateway)
 
         asyncio.run(program())
 
     def test_unknown_tenant_is_malformed(self):
         async def program():
-            gateway = in_process_gateway()
-            await gateway.start()
+            gateway = await one_worker_gateway()
             server = await serve_framed(gateway)
             try:
                 async with AsyncScoopClient(port=server.port) as client:
@@ -180,13 +182,13 @@ class TestFramedServer:
             finally:
                 await server.close()
                 await gateway.close()
+                assert_no_zombies(gateway)
 
         asyncio.run(program())
 
     def test_metrics_subscription_pushes_shard_scorecards(self):
         async def program():
-            gateway = in_process_gateway()
-            await gateway.start()
+            gateway = await one_worker_gateway()
             server = await serve_framed(gateway, metrics_interval=0.02)
             try:
                 async with AsyncScoopClient(
@@ -207,6 +209,7 @@ class TestFramedServer:
             finally:
                 await server.close()
                 await gateway.close()
+                assert_no_zombies(gateway)
 
         asyncio.run(program())
 

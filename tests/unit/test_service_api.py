@@ -1,7 +1,7 @@
 """The public service API: typed request/answer/error/stats dataclasses,
-the exception ↔ wire-code mapping, shard-stat aggregation, and the
-deprecated JSON-lines codec — including the golden-bytes test pinning it
-to the PR-7 wire format.
+the exception ↔ wire-code mapping and shard-stat aggregation — including
+the golden-bytes tests pinning the answer's transcript body
+(``QueryAnswer.to_jsonl_dict``) to the first wire format.
 """
 
 import json
@@ -23,15 +23,30 @@ from repro.service.api import (
     ShardRestartingError,
     ShedError,
     aggregate_shard_stats,
-    decode_jsonl_request,
-    decode_jsonl_response,
-    encode_jsonl_answer,
-    encode_jsonl_error,
-    encode_jsonl_request,
     error_to_exception,
     exception_to_error,
 )
 from repro.service.gateway import ServiceTicket
+
+
+def ticket_wire_body(ticket: ServiceTicket) -> dict:
+    """The first wire format's response body, built straight from a
+    ticket the way the original JSON-lines gateway built it — the golden
+    oracle for ``QueryAnswer.to_jsonl_dict``."""
+    return {
+        "status": ticket.status,
+        "tenant": ticket.tenant,
+        "seq": ticket.seq,
+        "attr": ticket.attr,
+        "lo": ticket.lo,
+        "hi": ticket.hi,
+        "latency_s": round(ticket.latency_s, 6),
+        "cache_hit": ticket.cache_hit,
+        "staleness_s": round(ticket.staleness_s, 6),
+        "epoch": ticket.epoch,
+        "n_readings": len(ticket.readings),
+        "readings": [list(r) for r in ticket.readings[:50]],
+    }
 
 
 class TestQueryRequest:
@@ -85,17 +100,17 @@ class TestQueryAnswer:
         assert answer.to_wire()["shard"] == "shard7"
 
     def test_golden_bytes_jsonl_matches_pr7_ticket_wire_format(self):
-        """The deprecated JSON-lines response must stay byte-identical
-        to what the PR-7 gateway emitted: ``ServiceTicket.to_dict()``
-        serialized with the stdlib defaults."""
-        ticket = self._ticket()
-        legacy = (json.dumps(ticket.to_dict()) + "\n").encode("utf-8")
-        modern = encode_jsonl_answer(QueryAnswer.from_ticket(ticket))
+        """The transcript body must serialize byte-identically to what the
+        original JSON-lines gateway emitted for the same ticket, with the
+        stdlib ``json.dumps`` defaults (what transcript digests hash)."""
+        ticket = self._ticket(60)
+        legacy = json.dumps(ticket_wire_body(ticket))
+        modern = json.dumps(QueryAnswer.from_ticket(ticket).to_jsonl_dict())
         assert modern == legacy
 
     def test_golden_bytes_pinned_literal(self):
-        """Belt and braces: the exact bytes, so a drift in *both*
-        ServiceTicket.to_dict and the codec still fails."""
+        """Belt and braces: the exact bytes, so a drift in *both* the
+        oracle and ``to_jsonl_dict`` still fails."""
         ticket = ServiceTicket(
             seq=1, tenant="tenant0", attr=0, lo=10, hi=30, arrival=600.0
         )
@@ -103,11 +118,11 @@ class TestQueryAnswer:
         ticket.readings = [(12, 600.0, 3)]
         ticket.latency_s = 8.0
         ticket.epoch = 0
-        assert encode_jsonl_answer(QueryAnswer.from_ticket(ticket)) == (
-            b'{"status": "ok", "tenant": "tenant0", "seq": 1, "attr": 0, '
-            b'"lo": 10, "hi": 30, "latency_s": 8.0, "cache_hit": false, '
-            b'"staleness_s": 0.0, "epoch": 0, "n_readings": 1, '
-            b'"readings": [[12, 600.0, 3]]}\n'
+        assert json.dumps(QueryAnswer.from_ticket(ticket).to_jsonl_dict()) == (
+            '{"status": "ok", "tenant": "tenant0", "seq": 1, "attr": 0, '
+            '"lo": 10, "hi": 30, "latency_s": 8.0, "cache_hit": false, '
+            '"staleness_s": 0.0, "epoch": 0, "n_readings": 1, '
+            '"readings": [[12, 600.0, 3]]}'
         )
 
     def test_bad_payload_is_protocol_error(self):
@@ -194,37 +209,7 @@ class TestAggregateShardStats:
         assert agg["latency_p95_s"] == 0.0
 
 
-class TestJsonlCodec:
-    def test_request_round_trip(self):
-        request = QueryRequest(tenant="t1", attr=1, lo=3, hi=9)
-        op, decoded = decode_jsonl_request(encode_jsonl_request(request))
-        assert op == "query"
-        assert (decoded.tenant, decoded.attr, decoded.lo, decoded.hi) == (
-            "t1",
-            1,
-            3,
-            9,
-        )
-
-    def test_control_ops(self):
-        assert decode_jsonl_request(b'{"op": "ping"}\n') == ("ping", None)
-        assert decode_jsonl_request(b'{"op": "stats"}\n') == ("stats", None)
-
-    def test_bad_json_is_malformed(self):
-        with pytest.raises(MalformedRequestError):
-            decode_jsonl_request(b"not json\n")
-        with pytest.raises(MalformedRequestError):
-            decode_jsonl_request(b"[1, 2]\n")
-        with pytest.raises(MalformedRequestError, match="unknown op"):
-            decode_jsonl_request(b'{"op": "fly"}\n')
-
-    def test_error_line_shape(self):
-        line = encode_jsonl_error("malformed request: nope")
-        assert decode_jsonl_response(line) == {
-            "status": "error",
-            "error": "malformed request: nope",
-        }
-
+class TestProtocolVersion:
     def test_version_constant_is_one(self):
         # Bumping PROTOCOL_VERSION is an intentional compatibility event;
         # this pin makes it a conscious edit, not a drive-by.
